@@ -296,50 +296,26 @@ fn main() {
         "  -> distill shows the same {distilled} intervals without {structural} structural boxes"
     );
 
-    // Bridge cache: stack the three mechanisms one by one on the slow
-    // transport. Two cold plots: the task list (Table 4's worst row,
-    // dominated by list prefetch) and the page cache (xarray slot walks,
-    // where read coalescing bites).
+    // Bridge cache: stack the two mechanisms on the slow transport. Two
+    // cold plots: the task list (Table 4's worst row, where the planner's
+    // spans bite) and the page cache (xarray slot walks, whose span
+    // fetches already run under the block cache).
     println!("\nBridge cache mechanisms (KGDB, cold extraction)\n");
-    let run = |id: &str, cfg: Option<CacheConfig>, plan: bool| {
+    let run = |id: &str, cache: bool, plan: bool| {
         let fig = visualinux::figures::by_id(id).unwrap();
-        let s = match (cfg, plan) {
-            (None, _) => attach(LatencyProfile::kgdb_rpi400()),
-            (Some(c), false) => attach_cached(LatencyProfile::kgdb_rpi400(), c),
-            (Some(c), true) => bench::attach_plan(LatencyProfile::kgdb_rpi400(), c),
+        let profile = LatencyProfile::kgdb_rpi400();
+        let s = match (cache, plan) {
+            (false, _) => attach(profile),
+            (true, false) => attach_cached(profile, CacheConfig::default()),
+            (true, true) => bench::attach_plan(profile, CacheConfig::default()),
         };
         let (_, st) = s.extract(fig.viewcl).expect("plot");
         (st.target.reads, st.total_ms())
     };
     let ladder = [
-        ("cache OFF (paper's baseline)", None, false),
-        (
-            "+ block cache only",
-            Some(CacheConfig {
-                coalesce: false,
-                prefetch: false,
-                ..CacheConfig::default()
-            }),
-            false,
-        ),
-        (
-            "+ read coalescing",
-            Some(CacheConfig {
-                prefetch: false,
-                ..CacheConfig::default()
-            }),
-            false,
-        ),
-        (
-            "+ distiller prefetch (full)",
-            Some(CacheConfig::default()),
-            false,
-        ),
-        (
-            "+ walk planner (plan mode)",
-            Some(CacheConfig::default()),
-            true,
-        ),
+        ("cache OFF (paper's baseline)", false, false),
+        ("+ block cache (span-fetch walks)", true, false),
+        ("+ walk planner (plan mode)", true, true),
     ];
     let t = TablePrinter::new(&[34, 12, 10, 12, 10]);
     t.row(
@@ -355,10 +331,10 @@ fn main() {
     t.sep();
     let mut base_ms = 0.0;
     let mut full_ms = 0.0;
-    for (name, cfg, plan) in ladder {
-        let (r34, ms34) = run("fig3-4", cfg, plan);
-        let (r162, ms162) = run("fig16-2", cfg, plan);
-        if cfg.is_none() {
+    for (name, cache, plan) in ladder {
+        let (r34, ms34) = run("fig3-4", cache, plan);
+        let (r162, ms162) = run("fig16-2", cache, plan);
+        if !cache {
             base_ms = ms34;
         }
         full_ms = ms34;

@@ -215,9 +215,6 @@ pub fn register_all(h: &mut HelperRegistry) {
         let mut lo = 0u64;
         while maple::xa_is_node(entry) {
             let node = maple::mte_to_node(entry);
-            // A maple node is 256 bytes and the walk below reads pivots
-            // and slots scattered across it: pull it in one span.
-            t.prefetch(node, 256);
             let ty = maple::mte_node_type(entry);
             let (nslots, piv_off, slot_off) = if ty == maple::MapleType::Arange64 as u64 {
                 (

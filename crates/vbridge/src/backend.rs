@@ -3,7 +3,7 @@
 //! A [`TargetBackend`] is the *wire* below [`crate::Target`]: raw span
 //! reads, mapped-address probes and C-string pulls against some stopped
 //! kernel, reporting faults as [`BackendError`]s. Everything above the
-//! wire — latency metering, the snapshot block cache, read coalescing,
+//! wire — latency metering, the snapshot block cache, span fetches,
 //! tracing, fault accounting — lives once in `Target` and works the same
 //! over *any* backend.
 //!

@@ -28,12 +28,6 @@ pub struct CacheConfig {
     pub block_size: u64,
     /// Capacity in blocks; the oldest block is evicted beyond this (FIFO).
     pub max_blocks: usize,
-    /// Merge batched reads (`Target::read_many`) into minimal wire spans.
-    /// Off, each request pays its own packet (ablation knob).
-    pub coalesce: bool,
-    /// Honor `Target::prefetch` hints. Off, hints are ignored
-    /// (ablation knob).
-    pub prefetch: bool,
 }
 
 impl Default for CacheConfig {
@@ -41,8 +35,6 @@ impl Default for CacheConfig {
         CacheConfig {
             block_size: 256,
             max_blocks: 4096,
-            coalesce: true,
-            prefetch: true,
         }
     }
 }
@@ -313,7 +305,6 @@ mod tests {
         let c = BlockCache::new(CacheConfig {
             block_size: 256,
             max_blocks: 2,
-            ..CacheConfig::default()
         });
         for i in 0..3u64 {
             c.insert(i * 256, vec![0u8; 256].into_boxed_slice());

@@ -14,16 +14,17 @@
 //!   equivalent of the paper's ~500 lines of GDB scripts that expose
 //!   inline kernel functions like `cpu_rq()` and `mte_to_node()`;
 //! * an optional snapshot [`BlockCache`] services repeat reads for free
-//!   while the kernel stays stopped, coalesces batched reads
-//!   ([`Target::read_many`]) into minimal wire spans, and accepts
-//!   prefetch hints ([`Target::prefetch`]) from container distillers —
-//!   invalidated wholesale when the session resumes the target;
+//!   while the kernel stays stopped, and [`Target::fetch_span`] pulls a
+//!   whole span of blocks into it as one packet — the single way bytes
+//!   travel ahead of a read, used by the walk planner and the batched
+//!   rbtree/xarray distillers; the cache is invalidated when the session
+//!   resumes the target;
 //! * the wire below the metering layer is a pluggable [`TargetBackend`]:
 //!   [`SimBackend`] serves a live `ksim` image, [`RecordBackend`] wraps
 //!   any backend and captures every wire operation into a serializable
 //!   [`Capture`] (`.vrec`), and [`ReplayBackend`] serves a capture back
-//!   deterministically with zero image access — metering, cache,
-//!   coalescing and tracing behave identically over all three.
+//!   deterministically with zero image access — metering, cache, span
+//!   fetches and tracing behave identically over all three.
 
 mod backend;
 mod cache;
@@ -47,4 +48,4 @@ pub use planner::{ExecMode, PlanMode, SpanPlanner};
 pub use profile::LatencyProfile;
 pub use record::{Capture, RecordBackend, Recorder, WireEvent, VREC_VERSION};
 pub use replay::{ReplayBackend, ReplayState};
-pub use target::{ReadPlan, Target, TargetStats};
+pub use target::{Target, TargetStats};

@@ -4,8 +4,8 @@
 //! (`viewcl::plan`); this module owns the pieces that belong to the
 //! bridge: which execution mode a session runs in ([`ExecMode`]), how a
 //! plan is scheduled against a given backend ([`PlanMode`]), and the
-//! latency-profile-driven span merging that replaces the distillers'
-//! ad-hoc `Target::prefetch` hints ([`SpanPlanner`]).
+//! latency-profile-driven span merging ([`SpanPlanner`]) whose spans
+//! `Target::fetch_span` pulls.
 //!
 //! The cost model is the same one Table 4 is built on: a wire packet
 //! costs `base_ns + len * per_byte_ns`. Two byte ranges are worth
@@ -17,6 +17,7 @@
 //! unconstrained and only the span cap applies.
 
 use crate::profile::LatencyProfile;
+use crate::target::MAX_SPAN;
 
 /// How a session turns ViewCL source into a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,10 +100,6 @@ pub struct SpanPlanner {
     pub span_cap: u64,
 }
 
-/// Matches `Target`'s `MAX_PREFETCH`: one scheduled span never pulls
-/// more than a page worth of blocks.
-const DEFAULT_SPAN_CAP: u64 = 4096;
-
 impl SpanPlanner {
     /// Derive the merge threshold from a latency profile. A free wire
     /// (`per_byte_ns == 0`) merges without a gap limit — fewer packets
@@ -114,7 +111,7 @@ impl SpanPlanner {
             .unwrap_or(u64::MAX);
         SpanPlanner {
             gap_threshold,
-            span_cap: DEFAULT_SPAN_CAP,
+            span_cap: MAX_SPAN,
         }
     }
 

@@ -485,8 +485,6 @@ impl Capture {
                     let mut m = Map::new();
                     m.insert("block_size".into(), num(c.block_size));
                     m.insert("max_blocks".into(), num(c.max_blocks as u64));
-                    m.insert("coalesce".into(), Value::Bool(c.coalesce));
-                    m.insert("prefetch".into(), Value::Bool(c.prefetch));
                     Value::Object(m)
                 }
             },
@@ -521,26 +519,15 @@ impl Capture {
             root.get("profile")
                 .ok_or_else(|| "capture header: missing `profile`".to_string())?,
         )?;
-        let cache =
-            match root.get("cache") {
-                None | Some(Value::Null) => None,
-                Some(c) => {
-                    let block_size = get_u64(c, "block_size", "cache config")?;
-                    let max_blocks = get_u64(c, "max_blocks", "cache config")? as usize;
-                    let coalesce = c.get("coalesce").and_then(Value::as_bool).ok_or_else(|| {
-                        "cache config: missing or non-bool `coalesce`".to_string()
-                    })?;
-                    let prefetch = c.get("prefetch").and_then(Value::as_bool).ok_or_else(|| {
-                        "cache config: missing or non-bool `prefetch`".to_string()
-                    })?;
-                    Some(CacheConfig {
-                        block_size,
-                        max_blocks,
-                        coalesce,
-                        prefetch,
-                    })
-                }
-            };
+        // Older headers also carry `coalesce`/`prefetch` keys; they are
+        // ignored.
+        let cache = match root.get("cache") {
+            None | Some(Value::Null) => None,
+            Some(c) => Some(CacheConfig {
+                block_size: get_u64(c, "block_size", "cache config")?,
+                max_blocks: get_u64(c, "max_blocks", "cache config")? as usize,
+            }),
+        };
         let meta = root.get("meta").cloned().unwrap_or(Value::Null);
         let events_v = root
             .get("events")
@@ -731,5 +718,18 @@ mod tests {
         assert_eq!(cap.profile.name, "captured");
         assert_eq!(cap.profile.base_ns, 123);
         assert_eq!(cap.profile.per_byte_ns, 4);
+    }
+
+    #[test]
+    fn retired_cache_knob_keys_are_ignored() {
+        let text = r#"{"version":1,"origin":"sim","profile":{"name":"free","base_ns":0,"per_byte_ns":0},"cache":{"block_size":64,"max_blocks":8,"coalesce":false,"prefetch":true},"meta":null,"events":[]}"#;
+        let cap = Capture::from_json(text).unwrap();
+        assert_eq!(
+            cap.cache,
+            Some(CacheConfig {
+                block_size: 64,
+                max_blocks: 8
+            })
+        );
     }
 }

@@ -16,8 +16,9 @@ use crate::{BridgeError, Result};
 /// habit of pulling strings in small fixed reads.
 const CSTR_CHUNK: u64 = 64;
 
-/// Largest span a single prefetch hint will pull (one page).
-const MAX_PREFETCH: u64 = 4096;
+/// Largest span one [`Target::fetch_span`] pulls (one page). Also the
+/// planner's merge cap, so a scheduled span is never truncated.
+pub(crate) const MAX_SPAN: u64 = 4096;
 
 /// Cumulative access statistics (virtual time, reads, bytes).
 ///
@@ -39,8 +40,9 @@ pub struct TargetStats {
     pub cache_hits: u64,
     /// Block fetches caused by cache misses.
     pub cache_misses: u64,
-    /// Round-trips avoided: requests served without any wire packet, plus
-    /// packets merged away by read coalescing.
+    /// Round-trips avoided: reads served without any wire packet, plus
+    /// the block fetches a multi-block [`Target::fetch_span`] folded into
+    /// one packet.
     pub packets_saved: u64,
     /// Reads that faulted on unmapped memory — wild pointers chased by a
     /// distiller or checker over a corrupted image.
@@ -64,58 +66,6 @@ pub struct TargetStats {
     /// Total mutated bytes reported by the backend across resumes
     /// (0 whenever dirty information was unknown).
     pub dirty_bytes: u64,
-}
-
-/// A batch of reads to be coalesced into minimal wire spans.
-///
-/// Adjacent and overlapping requests merge into one span; disjoint ones
-/// stay separate. [`Target::read_many`] turns each span into a single
-/// packet when the cache is enabled.
-#[derive(Debug, Clone, Default)]
-pub struct ReadPlan {
-    reqs: Vec<(u64, u64)>,
-}
-
-impl ReadPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        ReadPlan::default()
-    }
-
-    /// Queue a read of `len` bytes at `addr`.
-    pub fn add(&mut self, addr: u64, len: u64) {
-        if len > 0 {
-            self.reqs.push((addr, len));
-        }
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.reqs.len()
-    }
-
-    /// Whether no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.reqs.is_empty()
-    }
-
-    /// The minimal `(addr, len)` spans covering every queued request:
-    /// sorted, with adjacent/overlapping requests merged.
-    pub fn spans(&self) -> Vec<(u64, u64)> {
-        let mut sorted = self.reqs.clone();
-        sorted.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-        for (addr, len) in sorted {
-            match out.last_mut() {
-                Some((last_addr, last_len)) if addr <= *last_addr + *last_len => {
-                    let end = (addr + len).max(*last_addr + *last_len);
-                    *last_len = end - *last_addr;
-                }
-                _ => out.push((addr, len)),
-            }
-        }
-        out
-    }
 }
 
 /// A debugger's view of the stopped kernel.
@@ -150,7 +100,6 @@ pub struct Target<'a> {
     vincr_hits: Cell<u64>,
     vincr_rewalks: Cell<u64>,
     dirty_bytes: Cell<u64>,
-    plan_mode: Cell<bool>,
     track_touched: Cell<bool>,
     touched: RefCell<Vec<(u64, u64)>>,
     tracer: Option<Rc<Tracer>>,
@@ -184,8 +133,8 @@ impl<'a> Target<'a> {
     }
 
     /// Attach the metering layer over an arbitrary wire backend. Every
-    /// layer above the wire — latency accounting, block cache, read
-    /// coalescing, tracing, fault counting — behaves identically no
+    /// layer above the wire — latency accounting, block cache, span
+    /// fetches, tracing, fault counting — behaves identically no
     /// matter which backend serves the bytes.
     pub fn over(
         backend: Box<dyn TargetBackend + 'a>,
@@ -212,7 +161,6 @@ impl<'a> Target<'a> {
             vincr_hits: Cell::new(0),
             vincr_rewalks: Cell::new(0),
             dirty_bytes: Cell::new(0),
-            plan_mode: Cell::new(false),
             track_touched: Cell::new(false),
             touched: RefCell::new(Vec::new()),
             tracer: None,
@@ -308,19 +256,6 @@ impl<'a> Target<'a> {
         self.dirty_bytes.set(0);
     }
 
-    /// Whether plan-mode extraction owns the prefetch schedule. While
-    /// set, the distillers' ad-hoc [`Target::prefetch`] hints become
-    /// no-ops so the planner's scheduled spans are not double-pulled
-    /// (and `packets_saved` is not double-counted).
-    pub fn plan_mode(&self) -> bool {
-        self.plan_mode.get()
-    }
-
-    /// Enter or leave plan mode (see [`Target::plan_mode`]).
-    pub fn set_plan_mode(&self, on: bool) {
-        self.plan_mode.set(on);
-    }
-
     /// Record the outcome of one plan execution. The counts come from
     /// the plan's deterministic schedule, so a live run and its replay
     /// report identical numbers.
@@ -344,8 +279,8 @@ impl<'a> Target<'a> {
     /// Start or stop recording the address spans metered reads touch.
     /// While on, every logical read — cache hit or miss — logs its
     /// requested span so vincr can index what each pane depends on.
-    /// Speculative traffic (prefetch hints, planner span pulls) is
-    /// deliberately excluded: a prefetched byte nobody decoded must not
+    /// Span fetches ([`Target::fetch_span`]) are speculative and
+    /// deliberately excluded: a fetched byte nobody decoded must not
     /// force a re-walk.
     pub fn set_touched_tracking(&self, on: bool) {
         self.track_touched.set(on);
@@ -380,21 +315,6 @@ impl<'a> Target<'a> {
     /// overlapped reads (see [`TargetBackend::sync_view`]).
     pub fn sync_view(&self) -> Option<&dyn crate::backend::SyncRead> {
         self.backend.sync_view()
-    }
-
-    /// Pull one planner-scheduled span into the cache, metering the
-    /// whole aligned span as a single packet when possible (the same
-    /// accounting as a prefetch hint, but driven by the cost-based plan
-    /// rather than a distiller guess). Returns the packets sent. No-op
-    /// on uncached targets; never faults.
-    pub fn fetch_planned_span(&self, addr: u64, len: u64) -> u64 {
-        let Some(cache) = self.cache else { return 0 };
-        if len == 0 {
-            return 0;
-        }
-        let (packets, blocks) = self.fetch_span(cache, addr, len.min(MAX_PREFETCH));
-        self.note_saved(blocks.saturating_sub(packets));
-        packets
     }
 
     fn account(&self, addr: u64, len: u64) {
@@ -604,128 +524,58 @@ impl<'a> Target<'a> {
         self.backend.probe(addr).map_err(BridgeError::from)
     }
 
-    /// Pull every absent block covering `[addr, addr+len)` — the whole
-    /// aligned span as ONE packet when possible, degrading to per-block
-    /// fetches of the mapped blocks when the span touches unmapped pages
-    /// (holes are skipped silently; a later serve reports the fault).
-    /// Returns `(packets sent, blocks fetched)`. `len` must be non-zero.
-    fn fetch_span(&self, cache: &BlockCache, addr: u64, len: u64) -> (u64, u64) {
+    /// Pull every absent block covering `[addr, addr+len)` (capped at one
+    /// page) into the cache ahead of the reads that will decode it — the
+    /// one way anything fetches ahead of a read. The whole aligned span
+    /// travels as ONE packet when possible, degrading to per-block
+    /// fetches of the mapped blocks when it touches unmapped pages (holes
+    /// are skipped silently; a later read reports the fault). Returns the
+    /// packets sent. No-op on uncached targets, where every read keeps
+    /// paying its own packet; never faults.
+    pub fn fetch_span(&self, addr: u64, len: u64) -> u64 {
+        let Some(cache) = self.cache else { return 0 };
+        if len == 0 {
+            return 0;
+        }
         let bs = cache.block_size();
         let start = cache.base_of(addr);
-        let end = cache.base_of(addr + len - 1) + bs;
-        let mut missing = 0u64;
-        let mut base = start;
-        while base < end {
-            if !cache.contains(base) {
-                missing += 1;
-            }
-            base += bs;
-        }
+        let end = cache.base_of(addr + len.min(MAX_SPAN) - 1) + bs;
+        let missing = (start..end)
+            .step_by(bs as usize)
+            .filter(|&base| !cache.contains(base))
+            .count() as u64;
         if missing == 0 {
-            return (0, 0);
+            return 0;
         }
         let span = end - start;
         let mut buf = vec![0u8; span as usize];
-        if self.backend.read(start, &mut buf).is_ok() {
+        let (packets, fetched) = if self.backend.read(start, &mut buf).is_ok() {
             self.account(start, span);
-            self.cache_misses.set(self.cache_misses.get() + missing);
-            let mut base = start;
-            while base < end {
+            for base in (start..end).step_by(bs as usize) {
                 if !cache.contains(base) {
                     let off = (base - start) as usize;
-                    cache.insert(
-                        base,
-                        buf[off..off + bs as usize].to_vec().into_boxed_slice(),
-                    );
+                    cache.insert(base, buf[off..off + bs as usize].into());
                 }
-                base += bs;
             }
             (1, missing)
         } else {
             let mut fetched = 0u64;
-            let mut base = start;
-            while base < end {
+            for base in (start..end).step_by(bs as usize) {
                 if !cache.contains(base) {
                     let mut block = vec![0u8; bs as usize];
                     if self.backend.read(base, &mut block).is_ok() {
                         self.account(base, bs);
-                        self.cache_misses.set(self.cache_misses.get() + 1);
                         cache.insert(base, block.into_boxed_slice());
                         fetched += 1;
                     }
                 }
-                base += bs;
             }
             (fetched, fetched)
-        }
-    }
-
-    /// Hint that `[addr, addr+len)` is about to be walked. With the cache
-    /// enabled, pulls the covering blocks in a single span packet (capped
-    /// at one page); uncached targets ignore the hint entirely, keeping
-    /// the baseline cost model untouched. Hints never fault.
-    pub fn prefetch(&self, addr: u64, len: u64) {
-        if self.plan_mode.get() {
-            // The plan's scheduled spans own prefetching; ad-hoc hints
-            // from the distillers would double-pull (and double-count).
-            return;
-        }
-        let Some(cache) = self.cache else { return };
-        if len == 0 || !cache.config().prefetch {
-            return;
-        }
-        let (packets, blocks) = self.fetch_span(cache, addr, len.min(MAX_PREFETCH));
+        };
+        self.cache_misses.set(self.cache_misses.get() + fetched);
         // Fetching N blocks in fewer packets saves the difference.
-        self.note_saved(blocks.saturating_sub(packets));
-    }
-
-    /// Execute a batch of reads, coalescing adjacent/overlapping requests
-    /// into minimal wire spans when the cache is enabled. Returns one
-    /// buffer per request, in request order — byte-identical to issuing
-    /// the requests one by one.
-    pub fn read_many(&self, plan: &ReadPlan) -> Result<Vec<Vec<u8>>> {
-        match self.cache {
-            None => {
-                // Uncached: the baseline cost model, one packet per request
-                // (`read` logs each request's touched span).
-                plan.reqs
-                    .iter()
-                    .map(|&(addr, len)| {
-                        let mut buf = vec![0u8; len as usize];
-                        self.read(addr, &mut buf)?;
-                        Ok(buf)
-                    })
-                    .collect()
-            }
-            Some(cache) => {
-                for &(addr, len) in &plan.reqs {
-                    self.note_touched(addr, len);
-                }
-                let mut packets = 0u64;
-                if cache.config().coalesce {
-                    // Each merged span travels as one packet.
-                    for &(addr, len) in &plan.spans() {
-                        packets += self.fetch_span(cache, addr, len).0;
-                    }
-                } else {
-                    // Ablation knob: each request meters on its own,
-                    // exactly like a loop of `read` calls.
-                    for &(addr, len) in &plan.reqs {
-                        packets += self.meter_range_cached(cache, addr, len);
-                    }
-                }
-                // An uncached bridge would have paid one packet per request.
-                self.note_saved((plan.reqs.len() as u64).saturating_sub(packets));
-                plan.reqs
-                    .iter()
-                    .map(|&(addr, len)| {
-                        let mut buf = vec![0u8; len as usize];
-                        self.serve_cached(cache, addr, &mut buf)?;
-                        Ok(buf)
-                    })
-                    .collect()
-            }
-        }
+        self.note_saved(fetched - packets);
+        packets
     }
 
     /// Load a value of type `ty` from `addr`, decoding scalars and
@@ -922,49 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn read_plan_merges_adjacent_and_overlapping_spans() {
-        let mut plan = ReadPlan::new();
-        plan.add(0x100, 8);
-        plan.add(0x108, 8); // adjacent
-        plan.add(0x104, 8); // overlapping
-        plan.add(0x200, 4); // disjoint
-        assert_eq!(plan.spans(), vec![(0x100, 16), (0x200, 4)]);
-    }
-
-    #[test]
-    fn read_many_coalesces_into_fewer_packets() {
-        let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
-        let cache = BlockCache::new(CacheConfig::default());
-        let cached = Target::with_cache(
-            &img.mem,
-            &img.types,
-            &img.symbols,
-            LatencyProfile::kgdb_rpi400(),
-            &cache,
-        );
-        let plain = Target::new(
-            &img.mem,
-            &img.types,
-            &img.symbols,
-            LatencyProfile::kgdb_rpi400(),
-        );
-        let mut plan = ReadPlan::new();
-        for i in 0..8u64 {
-            plan.add(roots.init_task + 8 * i, 8);
-        }
-        let a = cached.read_many(&plan).unwrap();
-        let b = plain.read_many(&plan).unwrap();
-        assert_eq!(a, b, "coalesced results identical");
-        assert!(
-            cached.stats().reads < plain.stats().reads,
-            "coalesced: {} uncoalesced: {}",
-            cached.stats().reads,
-            plain.stats().reads
-        );
-        assert!(cached.stats().packets_saved >= 7);
-    }
-
-    #[test]
     fn cstr_metering_counts_chunks_fetched() {
         let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
         let target = Target::new(&img.mem, &img.types, &img.symbols, LatencyProfile::free());
@@ -996,13 +803,10 @@ mod tests {
         );
         target.set_tracer(tracer.clone());
         // Exercise every metering path: cached reads (miss + hit), a
-        // coalesced plan, a cstr, a probe, and a wild fault.
+        // span fetch, a cstr, a probe, and a wild fault.
         let _ = target.read_uint(roots.init_task, 8).unwrap();
         let _ = target.read_uint(roots.init_task, 8).unwrap();
-        let mut plan = ReadPlan::new();
-        plan.add(roots.init_task + 512, 8);
-        plan.add(roots.init_task + 520, 8);
-        let _ = target.read_many(&plan).unwrap();
+        target.fetch_span(roots.init_task + 512, 1024);
         let _ = target.read_cstr(roots.init_task + 0x10, 16);
         let _ = target.is_mapped(roots.init_task);
         let _ = target.read_uint(0xdead_0000_0000, 8);
@@ -1034,10 +838,8 @@ mod tests {
         let drive = |t: &Target| -> (u64, String, bool) {
             let v = t.read_uint(roots.init_task, 8).unwrap();
             let s = t.read_cstr(roots.init_task + comm_off, 16).unwrap();
-            let mut plan = ReadPlan::new();
-            plan.add(roots.init_task, 8);
-            plan.add(roots.init_task + 8, 8);
-            let _ = t.read_many(&plan).unwrap();
+            t.fetch_span(roots.init_task + 256, 1024);
+            let _ = t.read_uint(roots.init_task + 264, 8).unwrap();
             let m = t.is_mapped(roots.init_task).unwrap();
             assert!(t.read_uint(0xdead_0000_0000, 8).is_err());
             (v, s, m)
@@ -1104,8 +906,8 @@ mod tests {
         assert!(target.take_touched().is_empty());
         target.set_touched_tracking(true);
         assert!(target.touched_tracking());
-        // Prefetch pulls a whole span but is speculative — not touched.
-        target.prefetch(roots.init_task + 0x800, 256);
+        // A span fetch pulls a whole span but is speculative — not touched.
+        target.fetch_span(roots.init_task + 0x800, 256);
         let _ = target.read_uint(roots.init_task, 8).unwrap();
         let _ = target.read_uint(roots.init_task + 8, 4).unwrap(); // coalesces
         let _ = target.read_uint(roots.init_task + 0x100, 8).unwrap();
@@ -1131,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pulls_span_as_one_packet() {
+    fn fetch_span_pulls_a_multi_block_span_as_one_packet() {
         let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
         let cache = BlockCache::new(CacheConfig::default());
         let target = Target::with_cache(
@@ -1141,21 +943,65 @@ mod tests {
             LatencyProfile::kgdb_rpi400(),
             &cache,
         );
-        target.prefetch(roots.init_task, 1024);
+        assert_eq!(target.fetch_span(roots.init_task, 1024), 1);
         let s = target.stats();
         assert_eq!(s.reads, 1, "one span packet");
-        assert!(s.bytes >= 1024);
-        // Reads inside the span are now free.
+        assert!(s.cache_misses >= 4, "four or more blocks landed");
+        assert_eq!(s.packets_saved, s.cache_misses - 1);
+        // Reads inside the span are now free, and a second fetch of a
+        // resident span sends nothing.
         let _ = target.read_uint(roots.init_task + 512, 8).unwrap();
+        assert_eq!(target.fetch_span(roots.init_task, 1024), 0);
         assert_eq!(target.stats().reads, 1);
-        // Prefetch on an uncached target is a strict no-op.
+        // Uncached, the fetch is a strict no-op: every read still pays
+        // its own packet.
         let plain = Target::new(
             &img.mem,
             &img.types,
             &img.symbols,
             LatencyProfile::kgdb_rpi400(),
         );
-        plain.prefetch(roots.init_task, 1024);
+        assert_eq!(plain.fetch_span(roots.init_task, 1024), 0);
         assert_eq!(plain.stats(), TargetStats::default());
+        let _ = plain.read_uint(roots.init_task + 512, 8).unwrap();
+        let _ = plain.read_uint(roots.init_task + 520, 8).unwrap();
+        assert_eq!(plain.stats().reads, 2);
+    }
+
+    #[test]
+    fn fetch_span_never_faults() {
+        let (img, _t, roots) = workload::build(&WorkloadConfig::default()).finish();
+        let cache = BlockCache::new(CacheConfig::default());
+        let cached = Target::with_cache(
+            &img.mem,
+            &img.types,
+            &img.symbols,
+            LatencyProfile::kgdb_rpi400(),
+            &cache,
+        );
+        let plain = Target::new(&img.mem, &img.types, &img.symbols, LatencyProfile::free());
+        // A wholly unmapped span sends nothing and counts no fault.
+        let wild = 0xdead_0000_0000u64;
+        assert_eq!(cached.fetch_span(wild, 4096), 0);
+        assert_eq!(cached.stats().faults, 0);
+        assert!(cache.is_empty());
+        // A span straddling the end of the mapped run around init_task
+        // degrades to one fetch per mapped block, still without a fault.
+        let mut page_end = (roots.init_task | 0xfff) + 1;
+        while plain.is_mapped(page_end).unwrap() {
+            page_end += 4096;
+        }
+        assert_eq!(cached.fetch_span(page_end - 512, 1024), 2);
+        assert_eq!(cached.stats().faults, 0);
+        // Reads over both spans agree with the plain bridge, faults
+        // included; only a read reports one.
+        for addr in [page_end - 8, page_end, wild] {
+            assert_eq!(
+                format!("{:?}", plain.read_uint(addr, 8)),
+                format!("{:?}", cached.read_uint(addr, 8)),
+                "addr {addr:#x}"
+            );
+        }
+        assert_eq!(cached.stats().faults, plain.stats().faults);
     }
 }

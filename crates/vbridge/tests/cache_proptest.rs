@@ -1,22 +1,45 @@
 //! Property: the snapshot block cache is invisible to callers. Any
 //! sequence of bridge operations — reads of every flavor, C strings,
-//! batches, prefetch hints, epoch bumps — produces identical data *and*
-//! identical faults through a cached target as through an uncached one.
+//! span fetches followed by the reads they cover, epoch bumps — produces
+//! identical data *and* identical faults through a cached target as
+//! through an uncached one.
 
 use proptest::prelude::*;
-use vbridge::{BlockCache, CacheConfig, LatencyProfile, ReadPlan, Target};
+use vbridge::{BlockCache, CacheConfig, LatencyProfile, Target};
 
 /// One step of a random bridge workout. Offsets are relative to the
 /// workload's `init_task` page so sequences hit a mix of mapped bytes,
 /// page tails, and (with `wild`) wholly unmapped memory.
 #[derive(Debug, Clone)]
 enum Op {
-    Read { off: u64, wild: bool, len: usize },
-    Uint { off: u64, wild: bool, size: usize },
-    Int { off: u64, wild: bool, size: usize },
-    Cstr { off: u64, wild: bool, max: usize },
-    Prefetch { off: u64, wild: bool, len: u64 },
-    Many { offs: Vec<u64> },
+    Read {
+        off: u64,
+        wild: bool,
+        len: usize,
+    },
+    Uint {
+        off: u64,
+        wild: bool,
+        size: usize,
+    },
+    Int {
+        off: u64,
+        wild: bool,
+        size: usize,
+    },
+    Cstr {
+        off: u64,
+        wild: bool,
+        max: usize,
+    },
+    /// `fetch_span(addr, len)`, then 8-byte reads at `reads` offsets
+    /// (folded into the span).
+    Span {
+        off: u64,
+        wild: bool,
+        len: u64,
+        reads: Vec<u64>,
+    },
     Bump,
 }
 
@@ -46,12 +69,18 @@ fn op_strategy() -> BoxedStrategy<Op> {
             wild,
             max
         }),
-        (0u64..0x3000, any::<bool>(), 0u64..600).prop_map(|(off, wild, len)| Op::Prefetch {
-            off,
-            wild,
-            len
-        }),
-        proptest::collection::vec(0u64..0x1000, 0..12).prop_map(|offs| Op::Many { offs }),
+        (
+            0u64..0x3000,
+            any::<bool>(),
+            8u64..600,
+            proptest::collection::vec(any::<u64>(), 0..12)
+        )
+            .prop_map(|(off, wild, len, reads)| Op::Span {
+                off,
+                wild,
+                len,
+                reads: reads.into_iter().map(|r| r % (len - 7)).collect(),
+            }),
         Just(Op::Bump),
     ]
     .boxed()
@@ -117,21 +146,27 @@ proptest! {
                         format!("{:?}", cached.read_cstr(addr, *max))
                     );
                 }
-                Op::Prefetch { off, wild, len } => {
-                    // Hints never change observable behavior (and never
-                    // fault, even on unmapped spans).
-                    cached.prefetch(resolve(base, *off, *wild), *len);
-                    plain.prefetch(resolve(base, *off, *wild), *len);
-                }
-                Op::Many { offs } => {
-                    let mut plan = ReadPlan::new();
-                    for o in offs {
-                        plan.add(base + o, 8);
+                Op::Span { off, wild, len, reads } => {
+                    // A span fetch never faults and never changes what a
+                    // read returns. Uncached it sends nothing, so each
+                    // covered read pays its own packet; cached, a covered
+                    // read is free unless it faults.
+                    let addr = resolve(base, *off, *wild);
+                    let before = plain.stats();
+                    prop_assert_eq!(plain.fetch_span(addr, *len), 0);
+                    prop_assert_eq!(plain.stats(), before);
+                    let faults = cached.stats().faults;
+                    cached.fetch_span(addr, *len);
+                    prop_assert_eq!(cached.stats().faults, faults);
+                    for r in reads {
+                        let (plain_pkts, cached_pkts) = (plain.stats().reads, cached.stats().reads);
+                        let ra = plain.read_uint(addr + r, 8);
+                        let rb = cached.read_uint(addr + r, 8);
+                        prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+                        prop_assert_eq!(plain.stats().reads, plain_pkts + 1);
+                        let paid = cached.stats().reads - cached_pkts;
+                        prop_assert_eq!(paid == 0, rb.is_ok(), "paid {} for {:?}", paid, rb);
                     }
-                    prop_assert_eq!(
-                        format!("{:?}", plain.read_many(&plan)),
-                        format!("{:?}", cached.read_many(&plan))
-                    );
                 }
                 Op::Bump => cached.bump_epoch(),
             }
@@ -141,9 +176,7 @@ proptest! {
         // never more than the block-granularity worst case of the sequence.
         let s = cached.stats();
         let bs = 1u64 << block_size_log2;
-        // An unaligned span of `n` bytes touches at most n/bs + 2 blocks;
-        // each request in a batch pays for its own blocks when nothing
-        // merges.
+        // An unaligned span of `n` bytes touches at most n/bs + 2 blocks.
         let blocks = |span: u64| span / bs + 2;
         let worst: u64 = ops
             .iter()
@@ -151,8 +184,7 @@ proptest! {
                 Op::Read { len, .. } => blocks(*len as u64),
                 Op::Uint { size, .. } | Op::Int { size, .. } => blocks(*size as u64),
                 Op::Cstr { max, .. } => blocks(*max as u64 + 1),
-                Op::Prefetch { len, .. } => blocks((*len).min(4096)),
-                Op::Many { offs } => offs.len() as u64 * blocks(8),
+                Op::Span { len, reads, .. } => blocks(*len) + reads.len() as u64 * blocks(8),
                 Op::Bump => 0,
             })
             .sum();

@@ -2,7 +2,7 @@
 //!
 //! The interpreter ([`crate::Interp`]) walks a pane's containers
 //! recursively, discovering each pointer one metered round trip at a
-//! time and sprinkling ad-hoc `Target::prefetch` hints. This module
+//! time. This module
 //! lowers a pane program into an explicit DAG — object *seeds* (static
 //! root expressions), container *walk nodes* (root spec, traversal
 //! kind, per-element reads, expected fanout) and pointer *hops*
@@ -24,7 +24,8 @@
 //!    deduplicated walks.
 //! 3. **Fetch**: merge every byte range a node will touch (link words
 //!    plus the per-element field reads) into wire spans using the
-//!    [`SpanPlanner`] cost model, and pull each span as one packet.
+//!    [`SpanPlanner`] cost model, and pull each span as one packet
+//!    (`Target::fetch_span`).
 //!
 //! The interpreter then runs unchanged over the warm cache, so plan
 //! graphs are byte-identical to interp graphs by construction; the
@@ -941,9 +942,6 @@ pub fn execute(plan: &WalkPlan, target: &Target<'_>, helpers: &HelperRegistry) -
     if mode == PlanMode::Disabled || plan.is_empty() {
         return report;
     }
-    // From here on the plan owns prefetching: the distillers' ad-hoc
-    // hints are suppressed for the rest of this extraction.
-    target.set_plan_mode(true);
     let _plan_span = vtrace::span(
         target.tracer(),
         vtrace::SpanKind::Plan,
@@ -1103,7 +1101,7 @@ pub fn execute(plan: &WalkPlan, target: &Target<'_>, helpers: &HelperRegistry) -
                 format!("fetch:{} ({} elems)", node.label, w.elems.len()),
             );
             for (addr, len) in planner.merge(ranges) {
-                report.span_packets += target.fetch_planned_span(addr, len);
+                report.span_packets += target.fetch_span(addr, len);
             }
         }
 
@@ -1221,7 +1219,7 @@ pub fn execute(plan: &WalkPlan, target: &Target<'_>, helpers: &HelperRegistry) -
                     format!("box:{} ({} objs)", batch.box_type, fresh.len()),
                 );
                 for (addr, len) in planner.merge(ranges) {
-                    report.span_packets += target.fetch_planned_span(addr, len);
+                    report.span_packets += target.fetch_span(addr, len);
                 }
             }
             // Follow pointer hops into further batches.

@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 
 use ktypes::{CValue, TypeKind};
-use vbridge::{ReadPlan, Target};
+use vbridge::Target;
 
 use crate::{Result, VclError};
 
@@ -101,10 +101,6 @@ pub fn list_nodes(
             ));
         }
         out.push(cur);
-        // The consumer is about to render the object embedding this
-        // node: hint the bridge to pull the surrounding bytes (covers
-        // the ->next hop below too). No-op on uncached targets.
-        target.prefetch(cur, 128);
         let node = cur;
         cur = match target.read_uint(cur, 8) {
             Ok(v) => v,
@@ -163,7 +159,6 @@ pub fn hlist_nodes(
             ));
         }
         out.push(cur);
-        target.prefetch(cur, 128);
         let node = cur;
         cur = match target.read_uint(cur, 8) {
             Ok(v) => v,
@@ -251,25 +246,21 @@ pub fn rbtree_nodes(
                 }),
             ));
         }
-        // The two child pointers are adjacent: batch them so the bridge
-        // coalesces the pair into one wire span.
-        let mut plan = ReadPlan::new();
-        plan.add(node + 8, 8);
-        plan.add(node + 16, 8);
-        let bufs = match target.read_many(&plan) {
-            Ok(b) => b,
-            Err(_) => {
-                return Ok((
-                    out,
-                    Some(Truncation {
-                        reason: TruncReason::Fault,
-                        addr: node,
-                    }),
-                ))
-            }
+        // The two child pointers are adjacent: fetch them as one span,
+        // then read each (free once cached).
+        target.fetch_span(node + 8, 16);
+        let children = target
+            .read_uint(node + 8, 8)
+            .and_then(|right| Ok((right, target.read_uint(node + 16, 8)?)));
+        let Ok((right, left)) = children else {
+            return Ok((
+                out,
+                Some(Truncation {
+                    reason: TruncReason::Fault,
+                    addr: node,
+                }),
+            ));
         };
-        let right = ktypes::read_uint(&bufs[0], 8);
-        let left = ktypes::read_uint(&bufs[1], 8);
         if right != 0 {
             stack.push((right, false));
         }
@@ -301,8 +292,6 @@ pub fn array_elems(
         [CValue::LValue { addr, ty }] => match &target.types.get(*ty).kind {
             TypeKind::Array { elem, len } => {
                 let esz = target.types.size_of(*elem);
-                // The whole array is about to be loaded element-wise.
-                target.prefetch(*addr, esz * *len);
                 let mut out = Vec::with_capacity(*len as usize);
                 for i in 0..*len {
                     match target.load(addr + esz * i, *elem) {
@@ -348,7 +337,6 @@ pub fn array_elems(
             match elem_ty {
                 Some(ty) if target.types.size_of(ty) > 0 => {
                     let esz = target.types.size_of(ty);
-                    target.prefetch(base, esz * n);
                     for i in 0..n {
                         match target.load(base + esz * i, ty) {
                             Ok(v) => out.push(v),
@@ -366,7 +354,6 @@ pub fn array_elems(
                 }
                 _ => {
                     // Untyped: treat as an array of 8-byte words.
-                    target.prefetch(base, 8 * n);
                     let word_ty = target
                         .types
                         .find("unsigned long")
@@ -463,25 +450,21 @@ pub fn xarray_entries(target: &Target<'_>, xa_val: &CValue) -> Result<XarrayWalk
                 break;
             }
         };
-        // All 64 slots will be inspected: hint the span, then batch the
-        // slot reads so they coalesce into minimal wire packets.
-        target.prefetch(node + slots_off, 8 * 64);
-        let mut plan = ReadPlan::new();
-        for slot in 0..64u64 {
-            plan.add(node + slots_off + 8 * slot, 8);
-        }
-        let bufs = match target.read_many(&plan) {
-            Ok(b) => b,
-            Err(_) => {
-                trunc = Some(Truncation {
-                    reason: TruncReason::Fault,
-                    addr: node,
-                });
-                break;
-            }
+        // All 64 slots will be inspected: fetch them as one span, then
+        // read each (free once cached).
+        let slots = node + slots_off;
+        target.fetch_span(slots, 8 * 64);
+        let entries: std::result::Result<Vec<u64>, _> = (0..64u64)
+            .map(|slot| target.read_uint(slots + 8 * slot, 8))
+            .collect();
+        let Ok(entries) = entries else {
+            trunc = Some(Truncation {
+                reason: TruncReason::Fault,
+                addr: node,
+            });
+            break;
         };
-        for slot in 0..64u64 {
-            let entry = ktypes::read_uint(&bufs[slot as usize], 8);
+        for (slot, entry) in (0..64u64).zip(entries) {
             if entry == 0 {
                 continue;
             }

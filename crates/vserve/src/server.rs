@@ -24,6 +24,7 @@
 //! strict tape order survives the skipped walks (re-enacted on the next
 //! local walk, or by a respawned engine via [`Server::preload`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use ksim::image::KernelImage;
 use vbridge::BackendKind;
 use visualinux::proto::{VCommand, VResponse};
-use visualinux::{PlotStats, Session};
+use visualinux::Session;
 use vtrace::SpanKind;
 
 use crate::queue::{Bounded, TryPush};
@@ -174,19 +175,6 @@ impl Connection {
         }
     }
 
-    /// Submit a raw protocol line.
-    #[deprecated(note = "use `send_frame(line, SendMode::Blocking)`; removed next release")]
-    pub fn send_line(&self, line: String) -> Result<(), ServeError> {
-        self.send_frame(line, SendMode::Blocking)
-    }
-
-    /// Non-blocking submit; surfaces a full queue as
-    /// [`ServeError::Backpressure`].
-    #[deprecated(note = "use `send(cmd, SendMode::NonBlocking)`; removed next release")]
-    pub fn try_send(&self, cmd: &VCommand) -> Result<(), ServeError> {
-        self.send(cmd, SendMode::NonBlocking)
-    }
-
     /// Next reply line; blocks. `None` once the server closed this
     /// client's stream and everything queued has been read.
     pub fn recv(&self) -> Option<String> {
@@ -310,9 +298,6 @@ struct SyncState {
     /// point at the same allocation and lockstep checks are a pointer
     /// compare.
     last: Arc<vgraph::Graph>,
-    /// Server-side pane adopted at first plot (anchor for vctrl/vchat).
-    #[allow(dead_code)]
-    pane: vpanels::PaneId,
     /// Ship full next time (client acked out of sync).
     resync: bool,
 }
@@ -329,7 +314,6 @@ struct DeltaMemo {
 /// One memoized extraction, valid for the current stop generation.
 struct MemoEntry {
     graph: Arc<vgraph::Graph>,
-    stats: PlotStats,
     /// The full `vplot` ship, serialized once — identical for every
     /// client of this source (and, via the shared store, for every
     /// sibling engine).
@@ -338,7 +322,7 @@ struct MemoEntry {
 }
 
 impl MemoEntry {
-    fn new(source: &str, graph: vgraph::Graph, stats: PlotStats) -> MemoEntry {
+    fn new(source: &str, graph: vgraph::Graph) -> MemoEntry {
         let full = VCommand::Vplot {
             graph: graph.clone(),
             source: source.to_string(),
@@ -346,7 +330,6 @@ impl MemoEntry {
         .to_json();
         MemoEntry {
             graph: Arc::new(graph),
-            stats,
             full: full.into(),
             delta: None,
         }
@@ -357,7 +340,6 @@ impl MemoEntry {
     fn from_shared(sp: SharedPlot) -> MemoEntry {
         MemoEntry {
             graph: sp.graph,
-            stats: sp.stats,
             full: sp.full,
             delta: None,
         }
@@ -520,10 +502,12 @@ impl Server {
             }
             Request::Gone(id) => {
                 // Trails everything the departed client queued: those
-                // replies are delivered by now, so the outbox can go.
+                // replies are delivered by now, so the outbox and the
+                // client's sync state (its last shipped graphs) can go.
                 if let Some(e) = self.shared.clients.lock().unwrap().remove(&id) {
                     e.outbox.close();
                 }
+                self.subs.retain(|(client, _), _| *client != id);
             }
             Request::Cmd { client, line } => {
                 self.stats.requests += 1;
@@ -664,7 +648,7 @@ impl Server {
             generation: self.generation,
             viewcl: viewcl.to_string(),
         });
-        let entry = MemoEntry::new(viewcl, graph, pstats);
+        let entry = MemoEntry::new(viewcl, graph);
         if let Some(share) = &self.share {
             share.publish(
                 self.generation,
@@ -729,38 +713,30 @@ impl Server {
             self.materialize(viewcl)?;
         }
         self.stats.extractions += 1;
-        let (graph, pstats, full_len) = {
+        let (graph, full_len) = {
             let m = self.memo.get(viewcl).expect("just materialized");
-            (Arc::clone(&m.graph), m.stats, m.full.len())
+            (Arc::clone(&m.graph), m.full.len())
         };
 
-        let key = (client, viewcl.to_string());
-        if !self.subs.contains_key(&key) {
-            let pane = self
-                .session
-                .adopt_graph((*graph).clone(), Some(pstats))
-                .map_err(|e| e.to_string())?;
-            self.subs.insert(
-                key,
-                SyncState {
+        let sub = match self.subs.entry((client, viewcl.to_string())) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                e.insert(SyncState {
                     seq: 0,
                     last: graph,
-                    pane,
                     resync: false,
-                },
-            );
-            let full = self
-                .memo
-                .get(viewcl)
-                .expect("just materialized")
-                .full
-                .to_string();
-            self.stats.fulls_sent += 1;
-            self.stats.full_bytes_sent += full.len() as u64;
-            return Ok(full);
-        }
-
-        let sub = self.subs.get_mut(&key).expect("checked above");
+                });
+                let full = self
+                    .memo
+                    .get(viewcl)
+                    .expect("just materialized")
+                    .full
+                    .to_string();
+                self.stats.fulls_sent += 1;
+                self.stats.full_bytes_sent += full.len() as u64;
+                return Ok(full);
+            }
+        };
         let delta_cmd = if sub.resync {
             None
         } else {
@@ -904,5 +880,52 @@ fn tag_of(cmd: &VCommand) -> &'static str {
         VCommand::VplotDelta { .. } => "vplot_delta",
         VCommand::Vack { .. } => "vack",
         VCommand::Vattach { .. } => "vattach",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ksim::workload::{build, WorkloadConfig};
+    use vbridge::{CacheConfig, LatencyProfile};
+
+    #[test]
+    fn departed_clients_leave_no_sync_state() {
+        let session = Session::builder(build(&WorkloadConfig::default()))
+            .profile(LatencyProfile::free())
+            .cache(CacheConfig::default())
+            .attach()
+            .unwrap();
+        let mut server = Server::new(
+            session,
+            ServeConfig {
+                request_queue: 1024,
+                ..ServeConfig::default()
+            },
+        );
+        let handle = server.handle();
+        let plot = VCommand::VplotRequest {
+            viewcl: visualinux::figures::by_id("fig17-6")
+                .unwrap()
+                .viewcl
+                .to_string(),
+        };
+        let stayer = handle.connect();
+        stayer.send(&plot, SendMode::NonBlocking).unwrap();
+        let departed: Vec<Connection> = (0..300).map(|_| handle.connect()).collect();
+        for conn in &departed {
+            conn.send(&plot, SendMode::NonBlocking).unwrap();
+            conn.close();
+        }
+        handle.shutdown();
+        server.run();
+
+        assert_eq!(server.stats().fulls_sent, 301, "every client was shipped");
+        assert_eq!(server.subs.len(), 1, "departed clients' state is freed");
+        assert!(server.subs.keys().all(|(client, _)| *client == stayer.id));
+        assert!(
+            server.session().graph(vpanels::PaneId(0)).is_err(),
+            "no pane adopted per subscriber"
+        );
     }
 }

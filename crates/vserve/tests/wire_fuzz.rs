@@ -5,12 +5,12 @@
 //! must never mis-frame a valid stream no matter how it is chunked.
 
 use proptest::prelude::*;
+use visualinux::proto::VERSION;
 use vserve::framing::{
-    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame,
-    sniff, BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
+    accept_frame, hello_frame, negotiate_server, parse_hello, parse_verdict, reject_frame, sniff,
+    BinaryFraming, DecodeBuf, FrameError, Framing, LineFraming, Sniff,
 };
 use vserve::{byte_pair, Io, WireClient};
-use visualinux::proto::VERSION;
 
 /// JSON-ish payloads: printable, no newlines (a line frame cannot carry
 /// one), including empty and multi-byte UTF-8.
@@ -45,11 +45,7 @@ fn representable(f: &dyn Framing, payloads: &[String]) -> Vec<String> {
 
 /// Drain `buf` through `f`, bounding the iteration count so a decoder
 /// that stops making progress fails the test instead of hanging it.
-fn drain(
-    f: &dyn Framing,
-    buf: &mut DecodeBuf,
-    out: &mut Vec<String>,
-) -> Result<(), FrameError> {
+fn drain(f: &dyn Framing, buf: &mut DecodeBuf, out: &mut Vec<String>) -> Result<(), FrameError> {
     for _ in 0..100_000 {
         match f.decode(buf)? {
             Some(p) => out.push(p),
